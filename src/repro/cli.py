@@ -502,7 +502,12 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     print("\n[4] recovery: cooldown, half-open probes, breaker closes")
     gateway.inject_faults(0)
     time.sleep(cooldown + 0.1)
-    recovered = [gateway.predict(candidate_sets[0], env_features=env) for _ in range(3)]
+    warm = gateway.predict(candidate_sets[0], env_features=env)
+    check(warm.source == "learned" and gateway.breaker.state == "half-open",
+          "half-open: a cache hit answers learned without spending a probe")
+    # Probes must reach the model, so each scores under an uncached environment.
+    probe_envs = [tuple(v * (0.9 - 0.1 * i) for v in env) for i in range(3)]
+    recovered = [gateway.predict(candidate_sets[0], env_features=e) for e in probe_envs]
     check(gateway.breaker.state == "closed", "breaker closed after probes")
     check(recovered[-1].source == "learned", "learned answers resumed")
 

@@ -9,7 +9,8 @@ bootstrap, extracted here so there is one implementation to audit:
 * **BLAS thread pinning** — process-level parallelism composes
   multiplicatively with BLAS threads; pinning each worker to one BLAS
   thread avoids oversubscribing the machine ``workers × blas_threads``
-  ways (:func:`pin_blas_threads`);
+  ways (:func:`pin_blas_threads`, which also caps a pool the forked child
+  inherited already running; the gateway pins its serving process too);
 * **deterministic seed derivation** — a 63-bit seed from
   ``(base_seed, key)`` via SHA-256, independent of Python's per-process
   hash randomization, so results are identical regardless of worker
@@ -49,22 +50,63 @@ BLAS_ENV_VARS = (
     "VECLIB_MAXIMUM_THREADS",
 )
 
+#: ``(getter, setter)`` thread-count symbols of the OpenBLAS builds numpy
+#: ships with (scipy-openblas 64-bit, plain 64-bit, 32-bit), in lookup order.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_openblas_funcs = None
+
+
+def _loaded_openblas():
+    """``(get, set)`` thread-count functions of the OpenBLAS numpy loaded
+    into this process (found through ``/proc/self/maps``), or ``None``.
+    A hit is memoized: the mapping survives ``fork``, and a loaded library
+    never moves."""
+    global _openblas_funcs
+    if _openblas_funcs is not None:
+        return _openblas_funcs
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+            paths = (line.split()[-1] for line in fh if line.strip())
+            libs = {p for p in paths if "openblas" in p.lower() and ".so" in p}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for getter, setter in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, getter, None), getattr(lib, setter, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                _openblas_funcs = (get, set_)
+                return _openblas_funcs
+    return None
+
 
 def pin_blas_threads(limit: int = 1) -> None:
-    """Best-effort BLAS thread pinning for a worker process.
+    """Best-effort, process-wide BLAS thread pinning.
 
-    The environment variables only take effect for pools not yet
-    initialized; ``threadpoolctl`` (when available) additionally caps pools
-    the forked child inherited already warmed up.
+    The environment variables only take effect for libraries loaded later
+    (spawned grandchildren); the pool numpy already loaded — including one
+    a forked child inherited — is capped through OpenBLAS's own setter.
+    The setter is called only when the live count exceeds ``limit``, so
+    repeated calls (one per gateway construction) never touch the library
+    while another thread may be mid-GEMM.  Silently does nothing more when
+    no OpenBLAS is found.
     """
     for var in BLAS_ENV_VARS:
         os.environ[var] = str(limit)
-    try:  # pragma: no cover - optional dependency
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=limit)
-    except Exception:
-        pass
+    funcs = _loaded_openblas()
+    if funcs is not None and funcs[0]() > limit:
+        funcs[1](limit)
 
 
 def derive_seed(base_seed: int, key: str) -> int:

@@ -10,6 +10,10 @@ a learned model that can be slow, broken, or mid-replacement.  The
 * **admission control** — a bounded request queue; when it is full the
   request is *shed* and answered from the fallback immediately instead of
   growing an unbounded backlog;
+* **cache hits on the caller's thread** — a request whose every plan is in
+  the service's prediction cache is answered by the calling thread right
+  after breaker admission (``CostInferenceService.cached_predict``): no
+  queue, no worker wake, no pacer slot;
 * **micro-batch coalescing** — one worker thread drains the queue, merging
   compatible requests (same environment override) into a single learned
   batch within a small linger window, so concurrent callers ride the
@@ -45,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.evaluation.pool import pin_blas_threads
 from repro.gateway.breaker import BreakerConfig, CircuitBreaker
 from repro.gateway.fallback import NativeCostFallback
 from repro.gateway.telemetry import Telemetry
@@ -205,9 +210,14 @@ class OptimizerGateway:
         recorder=None,
         slo=None,
     ) -> None:
+        # One steering request runs on one thread: the forward pass's small
+        # GEMMs gain nothing from a second BLAS thread, which only spins
+        # between them.  Process-wide and idempotent (see docs/GATEWAY.md).
+        pin_blas_threads(1)
         self.config = config or GatewayConfig()
         self.fallback = fallback or NativeCostFallback()
         self.telemetry = telemetry or Telemetry()
+        self._resolve_instruments()
         self._on_trip = on_trip
         #: Observability (all optional, all ~free when absent): a
         #: :class:`repro.obs.Tracer` minting request spans at admission, a
@@ -282,6 +292,32 @@ class OptimizerGateway:
         self.telemetry.counter("swaps_total", "model hot swaps observed").inc()
         self._sync_gauges()
 
+    def _resolve_instruments(self) -> None:
+        """Bind the instruments every answered request touches once, so the
+        request path does no registry lookups.  Shed and fallback counters
+        stay created on first use: their absence means "never happened"."""
+        t = self.telemetry
+        self._requests_total = t.counter("requests_total", "requests received")
+        self._plans_total = t.counter("plans_total", "plans scored")
+        self._learned_total = t.counter("learned_total", "requests answered learned")
+        self._request_latency = t.histogram(
+            "request_latency_seconds", "end-to-end request latency"
+        )
+        self._queue_depth = t.gauge("queue_depth", "pending requests")
+        self._queue_wait = t.histogram(
+            "queue_wait_seconds", "request wait from admission to worker pickup"
+        )
+        self._batches_total = t.counter("batches_total", "learned batches executed")
+        self._batch_seconds = t.histogram(
+            "learned_batch_seconds", "learned-path batch latency"
+        )
+        self._batch_plans = t.histogram("batch_plans", "plans per learned batch")
+        self._service_time = t.histogram(
+            "service_time_seconds",
+            "learned-path compute share of request latency (per request, its "
+            "batch's execution time; queue_wait_seconds holds the other half)",
+        )
+
     def _model_version(self) -> int | None:
         service = self._service
         if service is None:
@@ -304,8 +340,8 @@ class OptimizerGateway:
         :class:`~repro.obs.TraceContext` (e.g. from the fleet parent) so the
         request span joins the caller's trace instead of starting one."""
         started = time.monotonic()
-        self.telemetry.counter("requests_total", "requests received").inc()
-        self.telemetry.counter("plans_total", "plans scored").inc(len(plans))
+        self._requests_total.inc()
+        self._plans_total.inc(len(plans))
         span = (
             self.tracer.start_trace("gateway.request", parent=trace)
             if self.tracer is not None
@@ -328,6 +364,16 @@ class OptimizerGateway:
             return self._fallback_result(
                 plans, env_features, "circuit-open", started, span=span
             )
+        deadline = started + deadline_ms / 1e3 if deadline_ms is not None else None
+        costs = self._cached_answer(plans, env_features, deadline)
+        if costs is not None:
+            # Answered from the prediction cache on this thread: the pipe
+            # never saw the request, so it takes no pacer slot and yields
+            # no delivery sample, and a half-open probe slot goes back.
+            self.breaker.release_probe()
+            if span.sampled:
+                span.set_attr("cache_hit", True)
+            return self._learned_result(costs, started, span)
         if self.pacer is not None and not self.pacer.try_admit():
             # The pipe (plus its state-dependent headroom) is already full:
             # queueing this request would only buy it latency, not an
@@ -346,7 +392,6 @@ class OptimizerGateway:
         env_key = (
             tuple(float(v) for v in env_features) if env_features is not None else None
         )
-        deadline = started + deadline_ms / 1e3 if deadline_ms is not None else None
         request = _PendingRequest(list(plans), env_features, env_key, deadline, started)
         request.paced = self.pacer is not None
         request.span = span
@@ -361,9 +406,7 @@ class OptimizerGateway:
             else:
                 closed = shed = False
                 self._queue.append(request)
-                self.telemetry.gauge("queue_depth", "pending requests").set(
-                    len(self._queue)
-                )
+                self._queue_depth.set(len(self._queue))
                 self._work.notify()
         if closed:
             self.breaker.release_probe()
@@ -387,22 +430,41 @@ class OptimizerGateway:
                 request.abandoned = True
         if done and error is None:
             assert request.result is not None
-            return self._finish(
-                GatewayResult(
-                    request.result,
-                    "learned",
-                    "ok",
-                    1e3 * (time.monotonic() - started),
-                    self._model_version(),
-                ),
-                started,
-                span=span,
-            )
+            return self._learned_result(request.result, started, span)
         if done:
             reason = "closed" if isinstance(error, GatewayClosedError) else "model-error"
             return self._fallback_result(plans, env_features, reason, started, span=span)
         self.telemetry.counter("deadline_miss_total", "requests past budget").inc()
         return self._fallback_result(plans, env_features, "deadline", started, span=span)
+
+    def _cached_answer(self, plans, env_features, deadline) -> np.ndarray | None:
+        """The service's all-or-nothing prediction-cache answer, computed on
+        the calling thread, or ``None`` (a miss, a service without
+        ``cached_predict``, a closed gateway, or armed fault injection,
+        whose drills target the batch path).  Waits for the service lock —
+        held by the worker through a forward pass — no longer than the
+        deadline allows."""
+        service = self._service
+        if (
+            env_features is None
+            or not self._running
+            or self._fault_budget
+            or not hasattr(service, "cached_predict")
+        ):
+            return None
+        lock = self._service_lock
+        if deadline is None:
+            lock.acquire()
+        elif not lock.acquire(timeout=max(0.0, deadline - time.monotonic())):
+            return None
+        try:
+            if self._service is not service:  # re-attached meanwhile
+                return None
+            return service.cached_predict(plans, env_features=env_features)
+        except Exception:  # noqa: BLE001 — the batch path answers and counts it
+            return None
+        finally:
+            lock.release()
 
     def select_best_index(
         self,
@@ -474,15 +536,26 @@ class OptimizerGateway:
             span=span,
         )
 
+    def _learned_result(self, costs, started, span) -> GatewayResult:
+        return self._finish(
+            GatewayResult(
+                costs,
+                "learned",
+                "ok",
+                1e3 * (time.monotonic() - started),
+                self._model_version(),
+            ),
+            started,
+            span=span,
+        )
+
     def _finish(
         self, result: GatewayResult, started: float, *, span=NULL_SPAN
     ) -> GatewayResult:
         if result.source == "learned":
-            self.telemetry.counter("learned_total", "requests answered learned").inc()
+            self._learned_total.inc()
         latency = time.monotonic() - started
-        self.telemetry.histogram(
-            "request_latency_seconds", "end-to-end request latency"
-        ).observe(latency)
+        self._request_latency.observe(latency)
         if self.slo is not None:
             self.slo.record(latency, deadline_hit=result.reason != "deadline")
         if span.sampled:
@@ -567,9 +640,7 @@ class OptimizerGateway:
                 if not self._running and not self._queue:
                     return
                 first = self._queue.popleft()
-                self.telemetry.gauge("queue_depth", "pending requests").set(
-                    len(self._queue)
-                )
+                self._queue_depth.set(len(self._queue))
                 self._observe_queue_wait(first)
                 if first.done:
                     # Already answered by a concurrent close() drain.
@@ -597,9 +668,7 @@ class OptimizerGateway:
         (the other half, the learned batch compute, is ``service_time``).
         Recorded for every popped request — including abandoned ones, whose
         queue wait is exactly what blew their budget."""
-        self.telemetry.histogram(
-            "queue_wait_seconds", "request wait from admission to worker pickup"
-        ).observe(time.monotonic() - request.enqueued_at)
+        self._queue_wait.observe(time.monotonic() - request.enqueued_at)
 
     def _coalesce(self, first: _PendingRequest) -> list[_PendingRequest]:
         """Merge queued requests with the same environment key into one
@@ -623,9 +692,7 @@ class OptimizerGateway:
                 if total + len(nxt.plans) > self.config.max_coalesce_plans:
                     break
                 self._queue.popleft()
-                self.telemetry.gauge("queue_depth", "pending requests").set(
-                    len(self._queue)
-                )
+                self._queue_depth.set(len(self._queue))
                 self._observe_queue_wait(nxt)
                 if nxt.done:
                     skipped = nxt  # answered by a concurrent close() drain
@@ -703,64 +770,67 @@ class OptimizerGateway:
             # drains spans for a trace right after predict() returns, the
             # batch (and nested serving) spans are already buffered.
             batch_span.finish()
-        self.telemetry.counter("batches_total", "learned batches executed").inc()
-        self.telemetry.histogram(
-            "learned_batch_seconds", "learned-path batch latency"
-        ).observe(elapsed)
-        self.telemetry.histogram("batch_plans", "plans per learned batch").observe(
-            len(all_plans)
-        )
+        self._batches_total.inc()
+        self._batch_seconds.observe(elapsed)
+        self._batch_plans.observe(len(all_plans))
 
-        service_time = self.telemetry.histogram(
-            "service_time_seconds",
-            "learned-path compute share of request latency (per request, its "
-            "batch's execution time; queue_wait_seconds holds the other half)",
-        )
+        service_time = self._service_time
         offset = 0
         now = time.monotonic()
         slots = 0
-        for request in group:
-            n = len(request.plans)
-            with self._lock:
-                abandoned = request.abandoned
-                drained = request.done  # answered by a concurrent close()
-                slots += request.paced
-                request.paced = False
-                if not abandoned and not drained:
-                    if request.span.sampled and batch_span.sampled:
-                        request.span.set_attr("batch_span_id", batch_span.span_id)
-                    request.done = True
-                    if error is not None:
-                        request.error = error
-                    else:
-                        request.result = np.asarray(predictions[offset : offset + n])
-                    request.event.set()
-            if drained:
-                pass  # caller already answered from the fallback
-            elif abandoned:
-                # Caller answered from fallback at its deadline while we were
-                # computing: a slow call against the breaker.
-                self.breaker.record_failure(kind="slow")
-            elif error is not None:
-                self.breaker.record_failure(kind="error")
-            else:
-                service_time.observe(elapsed)
-                self.breaker.record_success(now - request.enqueued_at)
-            offset += n
-        if self.pacer is not None and slots:
-            if error is None:
-                # The pipe computed this batch whether or not every caller
-                # stayed to hear the answer — it is a genuine delivery-rate
-                # and queue-free-latency measurement of the serving path.
-                self.pacer.on_delivered(slots, elapsed_seconds=elapsed)
-            else:
-                # A failed batch measures nothing; just return the slots.
-                self.pacer.release(slots)
-        self._sync_gauges()
+        answered: list[_PendingRequest] = []
+        try:
+            for request in group:
+                n = len(request.plans)
+                with self._lock:
+                    abandoned = request.abandoned
+                    drained = request.done  # answered by a concurrent close()
+                    slots += request.paced
+                    request.paced = False
+                    if not abandoned and not drained:
+                        if request.span.sampled and batch_span.sampled:
+                            request.span.set_attr("batch_span_id", batch_span.span_id)
+                        request.done = True
+                        if error is not None:
+                            request.error = error
+                        else:
+                            request.result = np.asarray(predictions[offset : offset + n])
+                        answered.append(request)
+                if drained:
+                    pass  # caller already answered from the fallback
+                elif abandoned:
+                    # Caller answered from fallback at its deadline while we
+                    # were computing: a slow call against the breaker.
+                    self.breaker.record_failure(kind="slow")
+                elif error is not None:
+                    self.breaker.record_failure(kind="error")
+                else:
+                    service_time.observe(elapsed)
+                    self.breaker.record_success(now - request.enqueued_at)
+                offset += n
+            if self.pacer is not None and slots:
+                if error is None:
+                    # The pipe computed this batch whether or not every
+                    # caller stayed to hear the answer — it is a genuine
+                    # delivery-rate and queue-free-latency measurement of
+                    # the serving path.
+                    self.pacer.on_delivered(slots, elapsed_seconds=elapsed)
+                else:
+                    # A failed batch measures nothing; just return the slots.
+                    self.pacer.release(slots)
+        finally:
+            # Wake callers only once the breaker and pacer have accounted
+            # the batch (trip hooks and flight dumps included), so a caller
+            # holding its answer never observes stale guardrail state.
+            for request in answered:
+                request.event.set()
 
     # -- reporting -------------------------------------------------------------
 
     def _sync_gauges(self) -> None:
+        """Mirror breaker, pacer, model-version and serving-cache state into
+        gauges.  Runs at read time (:meth:`stats`, :meth:`to_prometheus`)
+        and on swaps and trips, never per request."""
         self.telemetry.gauge("breaker_state", "0 closed, 1 half-open, 2 open").set(
             _BREAKER_STATE_CODES[self.breaker.state]
         )
@@ -835,10 +905,11 @@ class OptimizerGateway:
             for request in stranded:
                 released += request.paced
                 request.paced = False
-                if request.done:
-                    continue
-                request.done = True
-                request.error = GatewayClosedError("gateway closed")
+                if not request.done:
+                    request.done = True
+                    request.error = GatewayClosedError("gateway closed")
+                # A done request may still await its wake-up from a worker
+                # held up in breaker/pacer accounting; its answer is ready.
                 request.event.set()
         if self.pacer is not None and released:
             self.pacer.release(released)

@@ -59,7 +59,7 @@ class ModelLifecycle:
         elif not isinstance(registry, ModelRegistry):
             registry = ModelRegistry(registry)
         self.registry = registry
-        self.feedback = feedback or FeedbackLog()
+        self.feedback = feedback if feedback is not None else FeedbackLog()
         self.drift_monitor = drift if isinstance(drift, DriftMonitor) else DriftMonitor(drift)
         self.canary = canary if isinstance(canary, CanaryController) else CanaryController(canary)
         self._service_kwargs = service_kwargs or {}

@@ -55,6 +55,22 @@ class LRUCache(Generic[V]):
         self.hits += 1
         return value
 
+    def get_all(self, keys) -> list[V] | None:
+        """All-or-nothing lookup: every value when every key is present
+        (counted as hits and refreshed as recently used), else ``None``
+        with neither counters nor recency touched."""
+        store = self._store
+        values = []
+        for key in keys:
+            value = store.get(key)
+            if value is None:
+                return None
+            values.append(value)
+        for key in keys:
+            store.move_to_end(key)
+        self.hits += len(values)
+        return values
+
     def put(self, key: Hashable, value: V) -> None:
         store = self._store
         if key in store:

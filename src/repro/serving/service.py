@@ -40,7 +40,10 @@ round-off when ``dtype=float32``) while removing all of those costs:
    a failing gate falls back *bitwise* to the reference weights.
 
 A second-tier prediction cache short-circuits exact repeats (same plan
-fingerprint, same environment override) without a forward pass, and
+fingerprint, same environment override) without a forward pass;
+:meth:`CostInferenceService.cached_predict` exposes it as an
+all-or-nothing lookup a concurrent front end can answer warm requests
+with before queueing them, and
 :meth:`CostInferenceService.swap_predictor` accepts a post-swap warming
 list (the lifecycle feeds it the feedback log's hottest plans) so a model
 promote never serves a cold burst.
@@ -700,12 +703,45 @@ class CostInferenceService:
                                     (fingerprints[i], env_key), float(value)
                                 )
 
-        elapsed = time.perf_counter() - started
-        self._request_count += 1
-        self._plans_scored += len(plans)
-        self._total_seconds += elapsed
-        self._latencies.append(elapsed)
+        self._count_request(len(plans), started)
         return out
+
+    def cached_predict(
+        self,
+        plans: list[PhysicalPlan],
+        *,
+        env_features: tuple[float, float, float, float] | None,
+    ) -> np.ndarray | None:
+        """:meth:`predict`'s answer when the prediction cache holds every
+        plan under ``env_features``, else ``None`` — all or nothing, with
+        no encode or forward work either way.
+
+        The weights version is validated first, so a swapped or refitted
+        model never answers from its predecessor's cache.  A full hit is
+        accounted exactly as :meth:`predict` would account it; a partial
+        hit touches no counter, leaving the follow-up :meth:`predict` to
+        count its hits and misses once.  Lets a concurrent front end (the
+        gateway) answer warm requests on the caller's thread."""
+        if (
+            not plans
+            or env_features is None
+            or not self.enable_prediction_cache
+            or not len(self.prediction_cache)
+        ):
+            return None
+        started = time.perf_counter()
+        if not getattr(self.predictor.config, "use_environment", True):
+            env_key = _ZERO_ENV
+        else:
+            env_key = tuple(float(v) for v in env_features)
+        self._current_snapshot()  # a version bump clears the cache here
+        values = self.prediction_cache.get_all(
+            [(plan_fingerprint(p), env_key) for p in plans]
+        )
+        if values is None:
+            return None
+        self._count_request(len(plans), started)
+        return np.array(values, dtype=np.float64)
 
     def predict_sweep(
         self,
@@ -785,11 +821,7 @@ class CostInferenceService:
                     row = values[e]
                     for i, fp in enumerate(fingerprints):
                         put((fp, env), float(row[i]))
-        elapsed = time.perf_counter() - started
-        self._request_count += 1
-        self._plans_scored += len(envs) * n_plans
-        self._total_seconds += elapsed
-        self._latencies.append(elapsed)
+        self._count_request(len(envs) * n_plans, started)
         return out
 
     def select_best(
@@ -947,6 +979,13 @@ class CostInferenceService:
             self.warm_caches(warm)
 
     # -- internals -----------------------------------------------------------
+
+    def _count_request(self, n_plans: int, started: float) -> None:
+        elapsed = time.perf_counter() - started
+        self._request_count += 1
+        self._plans_scored += n_plans
+        self._total_seconds += elapsed
+        self._latencies.append(elapsed)
 
     def _current_snapshot(self) -> _WeightSnapshot:
         version = getattr(self.predictor, "weights_version", 0)

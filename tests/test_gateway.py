@@ -736,6 +736,222 @@ class TestGatewayLearnedReal:
         gw.close()
 
 
+# -- prediction-cache hits on the caller's thread -------------------------------
+
+
+class TestCallerThreadHits:
+    def test_hit_skips_queue_worker_and_batch(self, trained):
+        predictor, plans = trained
+        service = CostInferenceService(predictor)
+        with OptimizerGateway(service) as gw:
+            cold = gw.predict(plans[:6], env_features=ENV)
+            histograms = gw.stats()["histograms"]
+            assert histograms["queue_wait_seconds"]["count"] == 1
+            requests = service.stats().requests
+            hit = gw.predict(plans[:6], env_features=ENV)
+            assert (hit.source, hit.reason) == ("learned", "ok")
+            np.testing.assert_array_equal(hit.costs, cold.costs)
+            assert gw.telemetry.counter("batches_total").value == 1
+            snapshot = gw.stats()
+            assert snapshot["histograms"]["queue_wait_seconds"]["count"] == 1
+            assert snapshot["histograms"]["request_latency_seconds"]["count"] == 2
+            assert snapshot["counters"]["learned_total"] == 2
+            assert service.stats().requests == requests + 1
+
+    def test_half_open_hit_returns_probe_slot(self, trained):
+        predictor, plans = trained
+        clock = _FakeClock()
+        gw = OptimizerGateway(
+            CostInferenceService(predictor), breaker=_breaker(clock)
+        )
+        with gw:
+            assert gw.predict(plans[:4], env_features=ENV).source == "learned"
+            gw.inject_faults(100)
+            for i in range(4):
+                gw.predict(plans[8 + i : 9 + i], env_features=ENV)
+            assert gw.breaker.state == "open"
+            gw.inject_faults(0)
+            clock.advance(10.0)
+            # More hits than half-open probe slots: each hands its slot back.
+            for _ in range(5):
+                assert gw.predict(plans[:4], env_features=ENV).source == "learned"
+            assert gw.breaker.state == "half-open"
+            # Both probes are still available to misses, which close it.
+            for i in range(2):
+                cold = plans[20 + i : 21 + i]
+                assert gw.predict(cold, env_features=ENV).source == "learned"
+            assert gw.breaker.state == "closed"
+
+    def test_swap_and_weights_bump_recompute_cached_sets(
+        self, trained, project_with_history
+    ):
+        import copy
+
+        predictor, plans = trained
+        served = copy.deepcopy(predictor)
+        service = CostInferenceService(served)
+        with OptimizerGateway(service) as gw:
+            gw.predict(plans[:6], env_features=ENV)
+            served.weights_version += 1  # a refit in place
+            batches = gw.telemetry.counter("batches_total").value
+            gw.predict(plans[:6], env_features=ENV)
+            assert gw.telemetry.counter("batches_total").value == batches + 1
+
+            records = project_with_history.repository.records[:80]
+            other = AdaptiveCostPredictor(config=TINY)
+            other.fit(
+                [r.plan for r in records], [r.cpu_cost * 40.0 for r in records]
+            )
+            before = gw.predict(plans[:6], env_features=ENV)
+            gw.swap_predictor(other)
+            after = gw.predict(plans[:6], env_features=ENV)
+            assert gw.telemetry.counter("batches_total").value == batches + 2
+            assert after.model_version == other.weights_version
+            assert not np.allclose(before.costs, after.costs)
+            fresh = CostInferenceService(other).predict(plans[:6], env_features=ENV)
+            np.testing.assert_allclose(after.costs, fresh, rtol=1e-5)
+
+    def test_partial_hit_takes_batch_path_and_counts_once(self, trained):
+        predictor, plans = trained
+        service = CostInferenceService(predictor)
+        with OptimizerGateway(service) as gw:
+            gw.predict(plans[:4], env_features=ENV)
+            before = service.stats()
+            result = gw.predict(plans[:8], env_features=ENV)
+            assert result.source == "learned"
+            assert gw.telemetry.counter("batches_total").value == 2
+            after = service.stats()
+            assert after.prediction_hits == before.prediction_hits + 4
+            assert after.prediction_misses == before.prediction_misses + 4
+            assert after.requests == before.requests + 1
+            direct = CostInferenceService(predictor).predict(
+                plans[:8], env_features=ENV
+            )
+            np.testing.assert_allclose(result.costs, direct, rtol=1e-5)
+
+    def test_zero_deadline_warm_set_answers_learned(self, trained):
+        predictor, plans = trained
+        with OptimizerGateway(CostInferenceService(predictor)) as gw:
+            gw.predict(plans[:6], env_features=ENV)
+            result = gw.predict(plans[:6], env_features=ENV, deadline_ms=0)
+            assert (result.source, result.reason) == ("learned", "ok")
+            cold = gw.predict(plans[10:12], env_features=ENV, deadline_ms=0)
+            assert cold.reason == "deadline"
+
+    def test_closed_gateway_refuses_warm_sets(self, trained):
+        predictor, plans = trained
+        gw = OptimizerGateway(CostInferenceService(predictor))
+        assert gw.predict(plans[:4], env_features=ENV).source == "learned"
+        gw.close()
+        assert gw.predict(plans[:4], env_features=ENV).reason == "closed"
+
+    def test_armed_faults_bypass_the_cache(self, trained):
+        predictor, plans = trained
+        with OptimizerGateway(CostInferenceService(predictor)) as gw:
+            gw.predict(plans[:4], env_features=ENV)
+            gw.inject_faults(1)
+            assert gw.predict(plans[:4], env_features=ENV).reason == "model-error"
+            assert gw.predict(plans[:4], env_features=ENV).source == "learned"
+
+    def test_failing_cache_lookup_falls_through_to_the_batch_path(self):
+        class _BrokenCacheService(_StubService):
+            def cached_predict(self, plans, *, env_features):
+                raise RuntimeError("cache lookup failed")
+
+        service = _BrokenCacheService()
+        with OptimizerGateway(service) as gw:
+            result = gw.predict(_marker_plans(1.0, 2.0), env_features=ENV)
+            assert result.source == "learned"
+            assert (result.costs == [1.0, 2.0]).all()
+            assert len(service.calls) == 1
+
+    def test_concurrent_callers_half_warm_match_serial_reference(self, trained):
+        predictor, plans = trained
+        service = CostInferenceService(predictor)
+        chunks = [plans[i : i + 4] for i in range(0, 32, 4)]
+        serial = [
+            np.array(CostInferenceService(predictor).predict(c, env_features=ENV))
+            for c in chunks
+        ]
+        results = [None] * len(chunks)
+        with OptimizerGateway(service) as gw:
+            for chunk in chunks[::2]:  # half the requests arrive warm
+                gw.predict(chunk, env_features=ENV)
+            batches = gw.telemetry.counter("batches_total").value
+
+            def call(i):
+                results[i] = gw.predict(chunks[i], env_features=ENV)
+
+            threads = [
+                threading.Thread(target=call, args=(i,)) for i in range(len(chunks))
+            ]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+            assert gw.telemetry.counter("fallback_total").value == 0
+            # Only the cold half reached the worker.
+            assert gw.telemetry.counter("batches_total").value - batches <= 4
+            for got, want in zip(results, serial):
+                assert got.source == "learned"
+                np.testing.assert_allclose(got.costs, want, rtol=1e-5)
+
+
+# -- BLAS threading ---------------------------------------------------------------
+
+
+def _openblas_or_skip():
+    """``(get, set)`` thread-count functions of the loaded OpenBLAS."""
+    from repro.evaluation import pool
+
+    funcs = pool._loaded_openblas()
+    if funcs is None:
+        pytest.skip("numpy is not linked against a findable OpenBLAS")
+    return funcs
+
+
+class TestBlasPinning:
+    def test_gateway_pins_its_process_to_one_blas_thread(self):
+        from repro.evaluation import pool
+
+        get_threads, set_threads = _openblas_or_skip()
+        set_threads(2)
+        try:
+            with OptimizerGateway(_StubService()):
+                assert get_threads() == 1
+        finally:
+            pool.pin_blas_threads(1)
+
+    def test_pin_caps_a_pool_a_forked_child_inherited(self):
+        import os
+
+        from repro.evaluation import pool
+
+        get_threads, set_threads = _openblas_or_skip()
+        if not pool.fork_available():
+            pytest.skip("fork not available")
+        set_threads(2)
+        try:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # child: report the inherited count, pin, report again
+                try:
+                    inherited = get_threads()
+                    pool.pin_blas_threads(1)
+                    os.write(write_fd, f"{inherited} {get_threads()}".encode())
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            with os.fdopen(read_fd) as fh:
+                report = fh.read()
+            os.waitpid(pid, 0)
+        finally:
+            pool.pin_blas_threads(1)
+        inherited, pinned = map(int, report.split())
+        assert (inherited, pinned) == (2, 1)
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
 # -- shutdown drain -------------------------------------------------------------
 
 
@@ -812,6 +1028,32 @@ class TestGatewayClose:
         release.set()  # unstick the daemon worker before the test exits
         assert not t.is_alive(), "caller stranded on a stuck learned path"
         assert done and done[0].fallback and done[0].reason == "closed"
+
+    def test_close_wakes_callers_held_by_a_blocking_trip_hook(self):
+        """Callers are woken only after the breaker has accounted their
+        batch; if a trip hook then blocks the worker, close() still hands
+        the already-computed answer to the waiting caller."""
+        class _StubFallback:
+            def predict(self, plans, *, env_features=None):
+                return np.array([-p.marker for p in plans], dtype=np.float64)
+
+        release = threading.Event()
+        breaker = _breaker(_FakeClock())
+        breaker.on_trip = lambda _: release.wait(20.0)
+        gw = OptimizerGateway(_StubService(), breaker=breaker, fallback=_StubFallback())
+        gw.inject_faults(100)
+        for _ in range(3):
+            assert gw.predict(_marker_plans(1.0)).reason == "model-error"
+        done: list = []
+        t = threading.Thread(target=lambda: done.append(gw.predict(_marker_plans(1.0))))
+        t.start()
+        time.sleep(0.05)  # the 4th failure trips; the worker sits in the hook
+        assert not done
+        gw.close(timeout=0.1)
+        t.join(timeout=10.0)
+        release.set()
+        assert not t.is_alive(), "caller stranded behind a blocking trip hook"
+        assert done and done[0].reason == "model-error"
 
     def test_close_racing_deadline_expiry_answers_closed(self):
         """close() fails a stuck in-flight request over *before* the

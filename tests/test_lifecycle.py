@@ -148,6 +148,14 @@ class TestFeedbackLog:
         assert log.appended == 12
         assert log.dropped == 4
 
+    def test_lifecycle_keeps_the_passed_log_even_when_empty(self):
+        # An empty log is falsy (``__len__`` is 0); it must still be kept,
+        # bound included, rather than replaced by a default-capacity log.
+        log = FeedbackLog(capacity=192)
+        lifecycle = ModelLifecycle(feedback=log)
+        assert lifecycle.feedback is log
+        assert lifecycle.feedback.capacity == 192
+
     def test_record_fields(self, pool):
         _, plans, costs = pool
         log = FeedbackLog()

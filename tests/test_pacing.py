@@ -97,6 +97,30 @@ class _StubService:
         self.predictor = predictor
 
 
+class _CachingStubService(_StubService):
+    """Adds the service's all-or-nothing prediction cache: a plan set
+    answered once under an environment is then served by
+    ``cached_predict`` without touching ``predict``."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.cache: dict = {}
+        self.predict_calls = 0
+
+    def predict(self, plans, *, env_features=None):
+        self.predict_calls += 1
+        out = super().predict(plans, env_features=env_features)
+        for plan, value in zip(plans, out):
+            self.cache[(id(plan), env_features)] = float(value)
+        return out
+
+    def cached_predict(self, plans, *, env_features):
+        values = [self.cache.get((id(plan), env_features)) for plan in plans]
+        if any(v is None for v in values):
+            return None
+        return np.array(values)
+
+
 class _StubFallback:
     """Fallback that understands marker plans (the native one needs real
     plan trees)."""
@@ -471,6 +495,60 @@ class TestGatewayPacing:
             stats = gw.pacer.stats()
             assert stats["admitted_total"] == 2
             assert stats["delivered_total"] == 1
+
+    def test_cache_hit_takes_no_slot_and_no_delivery_sample(self):
+        """A prediction-cache hit never reaches the pipe, so BBR's inflight
+        accounting never sees it: no slot, no delivery sample, and it is
+        answered learned even while the pacer is full."""
+        service = _CachingStubService()
+        config = GatewayConfig(pacer=PacerConfig(initial_cap=2))
+        with OptimizerGateway(service, config=config, fallback=_StubFallback()) as gw:
+            warm = _marker_plans(1.0, 2.0)
+            assert gw.predict(warm, env_features=ENV).source == "learned"
+            before = gw.pacer.stats()
+            assert before["admitted_total"] == 1
+            assert before["delivered_total"] == 1
+            rate, latency = gw.pacer.btl_rate(), gw.pacer.min_latency()
+            for _ in range(5):
+                hit = gw.predict(warm, env_features=ENV)
+                assert (hit.source, hit.reason) == ("learned", "ok")
+                assert (hit.costs == [1.0, 2.0]).all()
+            assert service.predict_calls == 1
+            after = gw.pacer.stats()
+            assert gw.pacer.inflight == 0
+            assert after["admitted_total"] == before["admitted_total"]
+            assert after["delivered_total"] == before["delivered_total"]
+            assert (gw.pacer.btl_rate(), gw.pacer.min_latency()) == (rate, latency)
+            # Fill the pipe: a miss sheds, a hit still answers learned.
+            while gw.pacer.try_admit():
+                pass
+            assert gw.predict(_marker_plans(3.0), env_features=ENV).reason == "pacer-limit"
+            assert gw.predict(warm, env_features=ENV).source == "learned"
+            gw.pacer.release(gw.pacer.inflight)
+            assert gw.telemetry.counter("learned_total").value == 7
+
+    def test_hit_waits_for_a_busy_worker_only_within_its_deadline(self):
+        """The worker holds the service lock through a forward pass: a hit
+        waits for it as long as its budget allows and is then answered from
+        the cache; a hit whose budget runs out first takes the queue path."""
+        service = _CachingStubService(delay=0.2)
+        config = GatewayConfig(pacer=PacerConfig())
+        with OptimizerGateway(service, config=config, fallback=_StubFallback()) as gw:
+            warm = _marker_plans(1.0)
+            assert gw.predict(warm, env_features=ENV).source == "learned"
+            busy = threading.Thread(
+                target=lambda: gw.predict(_marker_plans(2.0), env_features=ENV)
+            )
+            busy.start()
+            time.sleep(0.05)  # the worker is inside the 0.2 s forward pass
+            calls = service.predict_calls
+            short = gw.predict(warm, env_features=ENV, deadline_ms=30)
+            assert short.reason == "deadline"
+            hit = gw.predict(warm, env_features=ENV, deadline_ms=2000)
+            assert (hit.source, hit.reason) == ("learned", "ok")
+            busy.join(timeout=5.0)
+            assert not busy.is_alive()
+            assert service.predict_calls == calls  # served by the cache
 
     def test_half_open_probe_refused_by_draining_pacer_keeps_its_slot(self):
         """A half-open breaker probe that the pacer refuses (DRAIN, over

@@ -709,3 +709,88 @@ class TestPredictSweep:
         service = CostInferenceService(predictor)
         assert service.predict_sweep([], SWEEP_ENVS).shape == (len(SWEEP_ENVS), 0)
         assert service.predict_sweep(plans[:2], []).shape == (0, 2)
+
+
+# -- all-or-nothing cache answers (the gateway's caller-thread fast path) --------
+
+
+class TestCachedPredict:
+    def test_full_hit_equals_predict_and_counts_once(self, trained):
+        predictor, plans = trained
+        service = CostInferenceService(predictor)
+        assert service.cached_predict(plans[:6], env_features=COLD_ENV) is None
+        want = service.predict(plans[:6], env_features=COLD_ENV)
+        before = service.stats()
+        got = service.cached_predict(plans[:6], env_features=COLD_ENV)
+        np.testing.assert_array_equal(got, want)
+        after = service.stats()
+        assert after.prediction_hits == before.prediction_hits + 6
+        assert after.prediction_misses == before.prediction_misses
+        assert after.requests == before.requests + 1
+        assert after.plans_scored == before.plans_scored + 6
+
+    def test_partial_hit_returns_none_without_counting(self, trained):
+        predictor, plans = trained
+        service = CostInferenceService(predictor)
+        service.predict(plans[:4], env_features=COLD_ENV)
+        before = service.stats()
+        lru_misses = service.prediction_cache.misses
+        assert service.cached_predict(plans[:8], env_features=COLD_ENV) is None
+        untouched = service.stats()
+        assert untouched.prediction_hits == before.prediction_hits
+        assert untouched.prediction_misses == before.prediction_misses
+        assert untouched.requests == before.requests
+        assert service.prediction_cache.misses == lru_misses
+        # The follow-up predict counts the 4 hits and 4 misses exactly once.
+        service.predict(plans[:8], env_features=COLD_ENV)
+        after = service.stats()
+        assert after.prediction_hits == before.prediction_hits + 4
+        assert after.prediction_misses == before.prediction_misses + 4
+
+    def test_swap_is_never_served_stale(self, trained, project_with_history):
+        predictor, plans = trained
+        service = CostInferenceService(predictor)
+        before = service.predict(plans[:6], env_features=COLD_ENV)
+        replacement = _fit_second_predictor(project_with_history)
+        service.swap_predictor(replacement)
+        assert service.cached_predict(plans[:6], env_features=COLD_ENV) is None
+        after = service.predict(plans[:6], env_features=COLD_ENV)
+        assert not np.allclose(before, after)
+        np.testing.assert_array_equal(
+            service.cached_predict(plans[:6], env_features=COLD_ENV), after
+        )
+
+    def test_weights_version_bump_invalidates(self, trained):
+        import copy
+
+        predictor, plans = trained
+        served = copy.deepcopy(predictor)
+        service = CostInferenceService(served)
+        service.predict(plans[:6], env_features=COLD_ENV)
+        served.weights_version += 1  # what a refit does
+        assert service.cached_predict(plans[:6], env_features=COLD_ENV) is None
+        assert len(service.prediction_cache) == 0
+
+    def test_no_answer_without_a_request_environment(self, trained):
+        predictor, plans = trained
+        service = CostInferenceService(predictor)
+        service.predict(plans[:4])
+        assert service.cached_predict(plans[:4], env_features=None) is None
+        assert service.cached_predict([], env_features=COLD_ENV) is None
+        disabled = CostInferenceService(predictor, enable_prediction_cache=False)
+        disabled.predict(plans[:4], env_features=COLD_ENV)
+        assert disabled.cached_predict(plans[:4], env_features=COLD_ENV) is None
+
+    def test_lru_get_all_is_all_or_nothing(self):
+        cache = LRUCache(4)
+        cache.put("a", 1.0)
+        cache.put("b", 2.0)
+        assert cache.get_all(["a", "c"]) is None
+        assert (cache.hits, cache.misses) == (0, 0)
+        assert cache.get_all(["a", "b"]) == [1.0, 2.0]
+        assert cache.hits == 2
+        cache.put("c", 3.0)
+        cache.get_all(["a"])  # refreshes "a": "b" is now the oldest
+        cache.put("d", 4.0)
+        cache.put("e", 5.0)
+        assert "b" not in cache and "a" in cache
