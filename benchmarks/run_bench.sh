@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate + serving- and training-throughput benchmarks, sized for CI.
 #
-# Runs the full unit/integration suite at REPRO_SCALE=smoke, then the
+# Runs the full unit/integration suite at REPRO_SCALE=smoke (it holds every
+# guardrail check of the gateway, fleet, pacer, scenario engine and
+# tracing: tests/test_<subsystem>.py), then the
 # serving-layer throughput benchmark (BENCH_serving.json: plans/sec,
 # p50/p99 latency, cold/quantized-cold/warm speedups, post-swap cache
 # warming, quantization gate, cache stats), the training-loop
@@ -69,36 +71,16 @@ echo "== gateway front-end benchmark =="
 (cd "${REPO_ROOT}/benchmarks" && python -m pytest bench_gateway_throughput.py -q -s)
 
 echo
-echo "== gateway guardrail smoke (induced failure -> fallback -> recovery) =="
-python -m repro gateway
-
-echo
 echo "== fleet throughput benchmark =="
 (cd "${REPO_ROOT}/benchmarks" && python -m pytest bench_fleet_throughput.py -q -s)
-
-echo
-echo "== fleet self-check (shards, promote, crash remap) =="
-python -m repro fleet
 
 echo
 echo "== admission pacing benchmark (BBR pacer vs bufferbloat under overload) =="
 (cd "${REPO_ROOT}/benchmarks" && python -m pytest bench_pacer_overload.py -q -s)
 
 echo
-echo "== pacer self-check (state machine + overload + swap re-probe) =="
-python -m repro pacer
-
-echo
 echo "== scenario-matrix benchmark (regimes x gateway/fleet serving configs) =="
 (cd "${REPO_ROOT}/benchmarks" && python -m pytest bench_scenario_matrix.py -q -s)
-
-echo
-echo "== scenario self-check (drift retrain+promote, steady quiet, stable digests) =="
-python -m repro scenarios
-
-echo
-echo "== trace self-check (span trees, flight dump, SLO burn-rate export) =="
-python -m repro trace
 
 echo
 echo "== fig11 adaptive training through the model lifecycle =="

@@ -2,26 +2,19 @@
 
 The serving forward is memory-bound at cold-path batch sizes: every conv
 layer streams a ``(3·d_in, d_out)`` float32 weight matrix through the
-cache per bucket.  Quantizing the snapshot to float16 or int8 halves or
-quarters that traffic (and the registry-shipping footprint of a fleet
-promote) at the price of bounded weight round-off — which is why the
-quantized path only ever serves behind an rtol *gate*: at snapshot-build
-time the packed-quantized forward is compared against the float32
-reference on a deterministic calibration batch, and a failing gate falls
-back bitwise to the reference weights (see ``_WeightSnapshot`` in
-:mod:`repro.serving.service`).
+cache per bucket.  Quantizing the snapshot to float16 halves that traffic
+(and the registry-shipping footprint of a fleet promote) at the price of
+bounded weight round-off — which is why the quantized path only ever
+serves behind an rtol *gate*: at snapshot-build time the packed-quantized
+forward is compared against the float32 reference on a deterministic
+calibration batch, and a failing gate falls back bitwise to the reference
+weights (see ``_WeightSnapshot`` in :mod:`repro.serving.service`).
 
-Two storage modes:
-
-* ``"float16"`` (default) — plain half-precision rounding, ~5e-4 relative
-  weight error, no scales needed;
-* ``"int8"`` — symmetric per-channel affine: one scale per *output*
-  channel (``scale_c = max|w[:, c]| / 127``), so a channel with small
-  weights is not crushed by a channel with large ones.
-
-Both modes keep a float32 *compute copy* (numpy's half/int GEMMs are
-slower than sgemm, so the win is storage/traffic plus the packing layout,
-not the arithmetic dtype), dequantized once per ``weights_version``.
+The one storage mode, ``"float16"``, is plain half-precision rounding
+(~5e-4 relative weight error, no scales needed).  It keeps a float32
+*compute copy* (numpy's half GEMMs are slower than sgemm, so the win is
+storage/traffic plus the packing layout, not the arithmetic dtype),
+dequantized once per ``weights_version``.
 """
 
 from __future__ import annotations
@@ -37,32 +30,27 @@ __all__ = [
     "split_conv_weight",
 ]
 
-QUANTIZE_MODES = ("float16", "int8")
-
-#: int8 symmetric range: [-127, 127] (-128 unused, keeps the scale symmetric).
-_INT8_MAX = 127.0
+QUANTIZE_MODES = ("float16",)
 
 
 @dataclass(frozen=True)
 class QuantizedMatrix:
     """One weight matrix in quantized storage plus its float32 compute copy.
 
-    ``stored`` is the low-precision array (float16, or int8 with
-    ``scales``); ``compute`` is the dequantized float32 (or serving-dtype)
-    array the forward actually multiplies with.  ``compute`` is exactly
-    ``dequantize(stored)``, so predictions reflect the quantization error
-    the gate measured — there is no hidden full-precision path.
+    ``stored`` is the low-precision float16 array; ``compute`` is the
+    dequantized float32 (or serving-dtype) array the forward actually
+    multiplies with.  ``compute`` is exactly ``dequantize(stored)``, so
+    predictions reflect the quantization error the gate measured — there
+    is no hidden full-precision path.
     """
 
     mode: str
     stored: np.ndarray
-    scales: np.ndarray | None  # (1, d_out) for int8, None for float16
     compute: np.ndarray
 
     @property
     def stored_nbytes(self) -> int:
-        scales = self.scales.nbytes if self.scales is not None else 0
-        return self.stored.nbytes + scales
+        return self.stored.nbytes
 
     def max_weight_rel_err(self, reference: np.ndarray) -> float:
         """Worst relative round-off the quantization introduced, measured
@@ -79,31 +67,18 @@ def quantize_matrix(
 ) -> QuantizedMatrix:
     """Quantize one ``(d_in, d_out)`` weight matrix.
 
-    int8 uses symmetric per-output-channel scales; a dead channel (all
-    zeros) gets scale 1.0 so dequantization stays exact.  Non-finite
-    weights are quantized as-is (float16 keeps inf/nan; int8 saturates
-    through the scale) — the downstream rtol gate is what rejects them.
+    Non-finite weights are quantized as-is (float16 keeps inf/nan) — the
+    downstream rtol gate is what rejects them.
     """
     if mode not in QUANTIZE_MODES:
         raise ValueError(f"unknown quantize mode {mode!r}; expected one of {QUANTIZE_MODES}")
     weight = np.asarray(weight, dtype=np.float64)
-    if mode == "float16":
-        # Out-of-range weights overflow to inf here by design; the gate's
-        # isfinite check is the rejection path, so the cast warning is noise.
-        with np.errstate(over="ignore"):
-            stored = weight.astype(np.float16)
-        compute = np.ascontiguousarray(stored, dtype=compute_dtype)
-        return QuantizedMatrix(mode=mode, stored=stored, scales=None, compute=compute)
-
-    peak = np.max(np.abs(weight), axis=0, keepdims=True)  # (1, d_out)
-    with np.errstate(invalid="ignore"):
-        scales = np.where(peak > 0.0, peak / _INT8_MAX, 1.0)
-    with np.errstate(invalid="ignore"):
-        q = np.rint(weight / scales)
-    q = np.clip(np.nan_to_num(q, nan=0.0, posinf=_INT8_MAX, neginf=-_INT8_MAX),
-                -_INT8_MAX, _INT8_MAX).astype(np.int8)
-    compute = np.ascontiguousarray(q.astype(compute_dtype) * scales.astype(compute_dtype))
-    return QuantizedMatrix(mode=mode, stored=q, scales=scales, compute=compute)
+    # Out-of-range weights overflow to inf here by design; the gate's
+    # isfinite check is the rejection path, so the cast warning is noise.
+    with np.errstate(over="ignore"):
+        stored = weight.astype(np.float16)
+    compute = np.ascontiguousarray(stored, dtype=compute_dtype)
+    return QuantizedMatrix(mode=mode, stored=stored, compute=compute)
 
 
 def split_conv_weight(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -19,25 +19,21 @@ round-off when ``dtype=float32``) while removing all of those costs:
    preallocating ``PlanEncoder.encode_plan`` fast path, reusing the plan
    fingerprint's per-node keys to memoize structural feature rows (candidate
    sets of one query share most of their scan/aggregate nodes);
-3. **parallel encoding** — a request whose encode-miss set reaches
-   ``parallel_encode_threshold`` plans fans the encoding out across CPU
-   cores through :mod:`repro.evaluation.parallel`'s fork pool, with a
-   serial fallback below the threshold (or on one core / without fork);
-4. **size-bucketed micro-batching** — plans are grouped by node count
+3. **size-bucketed micro-batching** — plans are grouped by node count
    (``TreeBatch.bucket_indices``) so one 40-node plan does not pad every
    5-node plan in the batch to 41 rows; batch buffers are float32 and
    reused across requests to halve memory traffic;
-5. **packed inference forward** — a raw-numpy mirror of
+4. **packed inference forward** — a raw-numpy mirror of
    ``TreeConvEncoder``/``_PredictiveModule`` with per-layer weights split
    into contiguous (self, left, right) blocks so the per-layer
    ``(batch, nodes, 3·dim)`` concatenation disappears, all intermediates
    drawn from a reusable buffer arena, and every GEMM collapsed to 2-D;
-6. **gated weight quantization** — with ``quantize=`` set, the packed
-   weights are stored float16/int8 (per-channel scales) and rebuilt once
-   per ``weights_version`` inside ``_WeightSnapshot.refresh``; an rtol
-   gate against the float32 reference on a deterministic calibration
-   batch decides at build/swap time whether the quantized pack serves —
-   a failing gate falls back *bitwise* to the reference weights.
+5. **gated weight quantization** — with ``quantize=`` set, the packed
+   weights are stored float16 and rebuilt once per ``weights_version``
+   inside ``_WeightSnapshot.refresh``; an rtol gate against the float32
+   reference on a deterministic calibration batch decides at build/swap
+   time whether the quantized pack serves — a failing gate falls back
+   *bitwise* to the reference weights.
 
 A second-tier prediction cache short-circuits exact repeats (same plan
 fingerprint, same environment override) without a forward pass;
@@ -95,12 +91,12 @@ class ServingStats:
     p50_latency_ms: float
     p99_latency_ms: float
     #: Cold-path attribution: seconds spent encoding (cache probes + node
-    #: encoding, serial or parallel), in the bucketed batch assembly +
-    #: forward, and building/gating packed (possibly quantized) weights.
+    #: encoding), in the bucketed batch assembly + forward, and
+    #: building/gating packed (possibly quantized) weights.
     encode_seconds: float = 0.0
     forward_seconds: float = 0.0
     quantize_seconds: float = 0.0
-    #: Requests whose encode-miss set went through the fork pool.
+    #: Always 0 (encoding is serial); kept only because steerbench reads it.
     parallel_encode_batches: int = 0
     #: Plans pushed through :meth:`CostInferenceService.warm_caches` (the
     #: post-swap warming pass).
@@ -224,7 +220,7 @@ class _WeightSnapshot:
 
     def _pack(self, mode: str | None, module):
         """One packed weight set.  ``mode=None`` packs the full-precision
-        reference; otherwise weights are round-tripped through float16/int8
+        reference; otherwise weights are round-tripped through float16
         storage first, and the second return value is the storage footprint."""
         dtype = self.dtype
         stored_bytes = 0
@@ -360,21 +356,6 @@ class _BucketEntry:
         # Weight-agnostic structural tiles for the environment-sweep
         # forward, keyed by sweep width (see ``_forward_sweep``).
         self.sweep: dict[int, tuple] = {}
-
-
-def _encode_chunk_task(encoder, plans, *, seed: int = 0):
-    """Fork-pool task: encode one chunk of plans with a zeroed environment
-    block (the serving base encoding).  Runs in a worker process; returns
-    plain arrays so the parent rebuilds ``EncodedPlan``s without sharing
-    state with the child."""
-    del seed  # deterministic; required by the EvalTask calling convention
-    out = []
-    for plan in plans:
-        encoded = encoder.encode_plan(
-            plan, env_override=_ZERO_ENV, node_keys=plan_fingerprint(plan)
-        )
-        out.append((encoded.features, encoded.left, encoded.right))
-    return out
 
 
 def _combined_gather_index(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -518,16 +499,11 @@ class CostInferenceService:
     refit, which invalidates the weight snapshot and prediction cache.
 
     ``quantize`` selects the weight-storage mode for the packed forward:
-    ``None``/``False`` disables it, ``True`` means ``"float16"``, or pass
-    ``"float16"``/``"int8"`` explicitly.  The quantized pack only serves if
-    it passes an rtol gate (``quantize_rtol``) against the float32
-    reference at snapshot-build time; otherwise the reference weights
-    serve, bitwise identical to an unquantized service.
-
-    ``parallel_encode_threshold`` sets the request size at which encode
-    cache misses fan out across ``encode_processes`` workers via the
-    evaluation fork pool (serial below it, or when only one worker
-    resolves).
+    ``None``/``False`` disables it, ``True`` or ``"float16"`` enables it.
+    The quantized pack only serves if it passes an rtol gate
+    (``quantize_rtol``) against the float32 reference at snapshot-build
+    time; otherwise the reference weights serve, bitwise identical to an
+    unquantized service.
 
     Caveat: base encodings are cached by *structural* fingerprint.  When
     ``env_features=None`` the per-node logged environments are read fresh
@@ -549,8 +525,6 @@ class CostInferenceService:
         latency_window: int = 2048,
         quantize: str | bool | None = None,
         quantize_rtol: float = 1e-3,
-        parallel_encode_threshold: int = 64,
-        encode_processes: int | None = None,
     ) -> None:
         self.predictor = predictor
         self.encoder = predictor.encoder
@@ -563,8 +537,6 @@ class CostInferenceService:
             quantize = None
         self.quantize_mode: str | None = quantize
         self.quantize_rtol = quantize_rtol
-        self.parallel_encode_threshold = parallel_encode_threshold
-        self.encode_processes = encode_processes
         #: Representative environment restored by :meth:`from_checkpoint`
         #: (``None`` when constructed directly or the checkpoint had none).
         self.environment_features: tuple[float, float, float, float] | None = None
@@ -592,7 +564,6 @@ class CostInferenceService:
         self._encode_seconds = 0.0
         self._forward_seconds = 0.0
         self._quantize_seconds = 0.0
-        self._parallel_encode_batches = 0
         self._warmed_plans = 0
         self._latencies: deque[float] = deque(maxlen=latency_window)
 
@@ -870,7 +841,7 @@ class CostInferenceService:
             encode_seconds=self._encode_seconds,
             forward_seconds=self._forward_seconds,
             quantize_seconds=self._quantize_seconds,
-            parallel_encode_batches=self._parallel_encode_batches,
+            parallel_encode_batches=0,
             warmed_plans=self._warmed_plans,
             quantized_active=bool(snapshot.quantized_active) if snapshot else False,
             quantize_gate_rel_err=float(snapshot.gate_rel_err) if snapshot else 0.0,
@@ -896,7 +867,7 @@ class CostInferenceService:
             "encode_seconds": self._encode_seconds,
             "forward_seconds": self._forward_seconds,
             "quantize_seconds": self._quantize_seconds,
-            "parallel_encode_batches": self._parallel_encode_batches,
+            "parallel_encode_batches": 0,
             "warmed_plans": self._warmed_plans,
             "quantized_active": 1.0 if (snapshot and snapshot.quantized_active) else 0.0,
             "quantize_gate_rel_err": float(snapshot.gate_rel_err) if snapshot else 0.0,
@@ -911,7 +882,6 @@ class CostInferenceService:
         self._encode_seconds = 0.0
         self._forward_seconds = 0.0
         self._quantize_seconds = 0.0
-        self._parallel_encode_batches = 0
         self._warmed_plans = 0
         self._latencies.clear()
         self.encoding_cache.reset_counters()
@@ -1017,64 +987,11 @@ class CostInferenceService:
         self.encoding_cache.put(fingerprint, encoded)
         return encoded
 
-    def _encode_workers(self, n_plans: int) -> int:
-        from repro.evaluation.parallel import resolve_processes
-
-        try:
-            return resolve_processes(n_plans, self.encode_processes)
-        except ValueError:
-            return 1
-
     def _encode_pending(
         self, plans: list[PhysicalPlan], fingerprints: list[tuple]
     ) -> list[EncodedPlan]:
-        """Base encodings for the prediction-cache misses of one request:
-        serial get-or-encode below the parallel threshold, fork-pool fan-out
-        of the deduplicated cache misses above it."""
-        n = len(plans)
-        if n < self.parallel_encode_threshold:
-            return [self._encoded_base(p, fp) for p, fp in zip(plans, fingerprints)]
-        workers = self._encode_workers(n)
-        if workers <= 1:
-            return [self._encoded_base(p, fp) for p, fp in zip(plans, fingerprints)]
-
-        from repro.evaluation.parallel import EvalTask, run_tasks
-
-        encoded: list[EncodedPlan | None] = [None] * n
-        miss_positions: "OrderedDict[tuple, list[int]]" = OrderedDict()
-        for j, fp in enumerate(fingerprints):
-            cached = self.encoding_cache.get(fp)
-            if cached is not None:
-                encoded[j] = cached
-            else:
-                miss_positions.setdefault(fp, []).append(j)
-        if miss_positions:
-            unique_fps = list(miss_positions)
-            unique_plans = [plans[miss_positions[fp][0]] for fp in unique_fps]
-            workers = min(workers, len(unique_plans))
-            chunk_bounds = np.array_split(np.arange(len(unique_plans)), workers)
-            tasks = [
-                EvalTask(
-                    key=f"encode:{ci}",
-                    fn=_encode_chunk_task,
-                    args=(self.encoder, [unique_plans[k] for k in chunk]),
-                    seed=0,
-                )
-                for ci, chunk in enumerate(chunk_bounds)
-                if len(chunk)
-            ]
-            results = run_tasks(tasks, processes=workers)
-            for ci, chunk in enumerate(chunk_bounds):
-                if not len(chunk):
-                    continue
-                for k, (features, left, right) in zip(chunk, results[f"encode:{ci}"]):
-                    entry = EncodedPlan(features=features, left=left, right=right)
-                    fp = unique_fps[k]
-                    self.encoding_cache.put(fp, entry)
-                    for j in miss_positions[fp]:
-                        encoded[j] = entry
-            self._parallel_encode_batches += 1
-        return encoded  # type: ignore[return-value]
+        """Base encodings for the prediction-cache misses of one request."""
+        return [self._encoded_base(p, fp) for p, fp in zip(plans, fingerprints)]
 
     def _bucket_entry(
         self, key: tuple, encoded: list[EncodedPlan] | None, batch: int

@@ -14,7 +14,7 @@ import pytest
 from repro.core.predictor import AdaptiveCostPredictor, PredictorConfig
 from repro.core.serialization import save_predictor
 from repro.evaluation.parallel import EvalTask, run_tasks
-from repro.evaluation.pool import fork_available
+from repro.evaluation.pool import derive_seed, fork_available
 from repro.fleet import ConsistentHashRouter, ServingFleet, merge_snapshots, merged_to_prometheus
 from repro.serving.service import CostInferenceService
 
@@ -340,6 +340,32 @@ class TestServingFleet:
             assert victim not in stats["shards"]
             prom = fleet.to_prometheus()
             assert "repro_fleet_parent_worker_failures_total 1" in prom
+
+    def test_ping_returns_one_distinct_derived_seed_per_live_worker(self, checkpointed):
+        path, _predictor, _plans = checkpointed
+        with ServingFleet(path, n_workers=3, base_seed=3) as fleet:
+            seeds = fleet.ping()
+            assert sorted(seeds) == sorted(fleet.live_workers())
+            assert len(set(seeds.values())) == 3
+            assert seeds == {name: derive_seed(3, f"fleet-{name}") for name in seeds}
+            fleet.crash_worker("shard-1")
+            assert sorted(fleet.ping()) == ["shard-0", "shard-2"]
+
+    def test_crash_remaps_only_the_dead_shards_tenants_and_exports_survivors(
+        self, checkpointed
+    ):
+        path, _predictor, plans = checkpointed
+        tenants = [f"tenant-{i}" for i in range(24)]
+        with ServingFleet(path, n_workers=3) as fleet:
+            owners = fleet.router.assignment(tenants)
+            victim = owners[tenants[0]]
+            fleet.crash_worker(victim)
+            for tenant in tenants:
+                fleet.predict(tenant, plans[:4], env_features=ENV)
+            new_owners = fleet.router.assignment(tenants)
+            moved = {t for t in tenants if new_owners[t] != owners[t]}
+            assert moved == {t for t in tenants if owners[t] == victim}
+            assert "repro_fleet_shards 2\n" in fleet.to_prometheus()
 
     def test_concurrent_tenants_across_shards(self, checkpointed):
         path, _predictor, plans = checkpointed

@@ -6,7 +6,6 @@ import networkx as nx
 import pytest
 
 from repro.cli import main as cli_main
-from repro.evaluation.pool import fork_available
 from repro.warehouse.graphs import (
     critical_stage_path,
     join_graph,
@@ -87,18 +86,6 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "projects pass the Filter" in out
-
-    @pytest.mark.skipif(not fork_available(), reason="requires fork start method")
-    def test_fleet_command(self, capsys):
-        code = cli_main([
-            "--seed", "3", "fleet",
-            "--days", "4", "--epochs", "2", "--workers", "2", "--tenants", "8",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "fleet round trip: all checks passed" in out
-        assert "FAIL" not in out
-        assert "repro_fleet_shards 1" in out  # one survivor after the chaos crash
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

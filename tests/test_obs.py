@@ -337,6 +337,23 @@ class TestGatewayTracing:
         assert request_record["attrs"]["source"] == "learned"
         assert "batch_span_id" in request_record["attrs"]
 
+    def test_traced_request_reaches_the_serving_kernels(self, checkpointed):
+        from repro.serving.service import CostInferenceService
+
+        path, plans = checkpointed
+        collector = SpanCollector()
+        tracer = Tracer(1.0, seed=0, collector=collector)
+        with OptimizerGateway(
+            CostInferenceService.from_checkpoint(path), tracer=tracer
+        ) as gw:
+            result = gw.predict(plans[:4], env_features=ENV)
+        assert result.source == "learned"
+        tree = collector.tree(result.trace_id)
+        assert tree.is_complete()
+        names = set(tree.names())
+        assert {"gateway.request", "gateway.batch"} <= names
+        assert {"serving.encode", "serving.forward"} <= names
+
     def test_tracing_off_yields_no_ids(self):
         with OptimizerGateway(_StubService(), fallback=_StubFallback()) as gw:
             result = gw.predict(["p1"], env_features=ENV)
@@ -389,6 +406,7 @@ class TestGatewayTracing:
         assert snapshot["slo"]["total_missed"] == 0
         text = gw.to_prometheus()
         assert "repro_slo_hit_rate_60s" in text
+        assert "repro_slo_burn_rate_60s" in text
         assert "repro_slo_alerting" in text
 
 

@@ -458,6 +458,51 @@ class TestGatewayPacing:
             assert r.source == "learned"
             assert gw.pacer.btl_rate() is not None
 
+    def test_thread_overload_converges_then_swap_relearns(self):
+        """Eight callers hammer a slow pipe: the excess sheds with
+        ``pacer-limit``, admitted traffic measures the pipe and moves the
+        pacer out of STARTUP, and no slot leaks.  A hot swap then forgets
+        the estimates and fresh traffic re-learns them."""
+        service = _StubService(delay=0.008)
+        config = GatewayConfig(
+            max_coalesce_plans=2,
+            coalesce_window_ms=0.0,
+            pacer=PacerConfig(cwnd_gain=1.5, initial_cap=2),
+        )
+        with OptimizerGateway(service, config=config, fallback=_StubFallback()) as gw:
+            stop_at = time.perf_counter() + 0.6
+            results: list = []
+            lock = threading.Lock()
+
+            def hammer():
+                while time.perf_counter() < stop_at:
+                    r = gw.predict(_marker_plans(1.0, 2.0))
+                    with lock:
+                        results.append(r)
+
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert all(len(r.costs) == 2 and np.isfinite(r.costs).all() for r in results)
+            assert any(r.source == "learned" for r in results)
+            assert any(r.reason == "pacer-limit" for r in results)
+            stats = gw.pacer.stats()
+            assert stats["state"] != STARTUP
+            assert stats["btl_rate"] is not None
+            assert stats["min_latency_seconds"] is not None
+            assert gw.pacer.inflight == 0
+
+            gw.swap_predictor(_StubPredictor(version=2))
+            stats = gw.pacer.stats()
+            assert stats["state"] == STARTUP
+            assert stats["btl_rate"] is None and stats["min_latency_seconds"] is None
+            for _ in range(8):
+                assert gw.predict(_marker_plans(3.0)).source == "learned"
+            assert gw.pacer.btl_rate() is not None
+            assert gw.pacer.min_latency() is not None
+
     def test_abandoned_inflight_request_still_measures_the_pipe(self):
         service = _StubService(delay=0.3)
         config = GatewayConfig(pacer=PacerConfig())

@@ -274,6 +274,7 @@ def incumbent(runtime):
 class TestReplayEngine:
     def test_runtime_pools_have_steering_headroom(self, runtime):
         pools = runtime.pools(build_scenario("steady").families)
+        assert not runtime.degraded_families
         assert set(pools) == {"scan", "join", "report"}
         sets = [cs for pool in pools.values() for cs in pool]
         assert all(len(cs.plans) >= 2 for cs in sets)
@@ -317,6 +318,26 @@ class TestReplayEngine:
             assert report.segments["drifted"]["learned"] > 0
         finally:
             gateway.close()
+
+    def test_drift_replay_through_lifecycle_is_bit_deterministic(
+        self, runtime, incumbent
+    ):
+        """Two fixed-seed drift replays through a gateway and a live
+        lifecycle (retrain, canary, promote included) digest identically."""
+        reports = []
+        for _ in range(2):
+            lifecycle = build_lifecycle(runtime, incumbent)
+            gateway = lifecycle.serve_through_gateway()
+            try:
+                engine = ReplayEngine(
+                    runtime, lifecycle=lifecycle, config=ReplayConfig(mode="logical")
+                )
+                reports.append(engine.run(build_scenario("drift"), GatewayTarget(gateway)))
+            finally:
+                gateway.close()
+        assert reports[0].promotes == 1
+        assert reports[0].stream_digest == reports[1].stream_digest
+        assert reports[0].outcome_digest == reports[1].outcome_digest
 
     def test_steady_scenario_never_retrains(self, runtime, incumbent):
         lifecycle = build_lifecycle(runtime, incumbent)
