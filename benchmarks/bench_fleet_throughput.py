@@ -3,7 +3,7 @@
 ``BENCH_gateway.json`` documents the single-process ceiling: adding caller
 threads *degrades* gateway throughput because every thread shares one
 interpreter with the inference service.  The fleet's claim is structural —
-N worker processes, each a private gateway + service, behind a
+N worker processes, each a private inference service, behind a
 consistent-hash tenant router — and this benchmark measures it on the
 workload the router is built for: **Zipf-skewed traffic from 1000+
 simulated tenant projects**, each tenant re-scoring its candidate set
@@ -15,8 +15,8 @@ partitioning is measured alongside process parallelism.
 Phases:
 
 * **correctness** — fleet answers match the direct service (rtol 1e-5);
-* **baseline** — one ``OptimizerGateway`` (the per-worker service
-  configuration) driven by 4 client threads;
+* **baseline** — one ``OptimizerGateway`` over the service configuration
+  each worker runs, driven by 4 client threads;
 * **fleet** — 4 workers, same traffic, same client threads, with
   per-shard p50/p99 and cache hit rates recorded;
 * **promote** — a registry-driven staged rollout: every worker must
@@ -195,7 +195,7 @@ def test_fleet_throughput(benchmark, fleet_setup, scale):
             )
 
     def run():
-        # Baseline: one gateway over one service (the per-worker config),
+        # Baseline: one gateway over the service config each worker runs,
         # same client concurrency, same Zipf tenant traffic.
         service = CostInferenceService.from_checkpoint(checkpoint, **SERVICE_KWARGS)
         with OptimizerGateway(service) as gw:

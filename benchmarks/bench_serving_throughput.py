@@ -15,7 +15,7 @@ Three paths are timed:
 * **cold** — ``CostInferenceService`` with caches cleared before every
   round, same per-(set, environment) request shape as naive: vectorized
   encoding + size buckets + no-grad float32 packed forward;
-* **cold_quantized** — the cold path through a ``quantize="float16"``
+* **cold_quantized** — the cold path through a ``quantize=True``
   service using the serving layer's natural entry point for this workload:
   one ``predict_sweep(plans, ENVIRONMENTS)`` call per candidate set scores
   the whole strategy sweep in a single batched forward (the env-linear
@@ -160,7 +160,7 @@ def test_serving_throughput(benchmark, serving_setup, scale, tmp_path):
     # accuracy check is the end-to-end rtol 1e-3 against naive below, on the
     # actual workload.
     quantized_service = CostInferenceService(
-        predictor, quantize="float16", quantize_rtol=2e-3
+        predictor, quantize=True, quantize_rtol=2e-3
     )
     naive_predict = _naive_predict_fn(predictor)
 

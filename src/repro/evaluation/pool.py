@@ -3,7 +3,7 @@
 Two subsystems run Python workers in forked processes: the evaluation
 harness (:mod:`repro.evaluation.parallel` maps independent tasks over a
 ``multiprocessing.Pool``) and the serving fleet (:mod:`repro.fleet` hosts
-one long-lived gateway+service per worker).  Both need exactly the same
+one long-lived inference service per worker).  Both need exactly the same
 bootstrap, extracted here so there is one implementation to audit:
 
 * **BLAS thread pinning** — process-level parallelism composes

@@ -1,10 +1,10 @@
 """Sharded multi-process serving fleet (docs/FLEET.md).
 
 Breaks the single-process gateway's GIL throughput cap by running N
-worker processes — each a full ``CostInferenceService`` +
-``OptimizerGateway`` stack loaded from a registry checkpoint — behind a
-consistent-hash tenant router, with staged registry-driven promotes,
-crash containment, and merged fleet telemetry.
+worker processes — each a ``CostInferenceService`` loaded from a registry
+checkpoint — behind a consistent-hash tenant router that applies one
+breaker, pacer, deadline and fallback per shard, with staged
+registry-driven promotes, crash containment, and merged fleet telemetry.
 """
 
 from repro.fleet.fleet import ServingFleet, WorkerCrashError

@@ -1,15 +1,14 @@
 """Fleet-level telemetry: merging per-worker snapshots into one export.
 
-Each fleet worker owns a full :class:`~repro.gateway.telemetry.Telemetry`
+Each fleet worker owns a :class:`~repro.gateway.telemetry.Telemetry`
 registry in its own process; operators want one dashboard, not N.  The
 merge rules per instrument kind:
 
 * **counters** — summed: totals across the fleet are the sum of per-shard
   totals, exactly.
-* **gauges** — summed: the fleet-wide queue depth / cache sizes are sums
-  of per-shard ones.  (Per-shard state gauges like ``breaker_state`` stay
-  meaningful per shard; their sum reads as "number of degraded shards"
-  weighted by severity, which is the alarm an operator wants anyway.)
+* **gauges** — summed: the fleet-wide cache sizes and hit/miss tallies
+  are sums of per-shard ones.  (``model_weights_version`` sums to N× the
+  converged version; per-shard values stay in each shard's snapshot.)
 * **histograms** — ``count``/``sum`` are summed exactly and ``min``/
   ``max`` combined exactly.  When every contributing shard ships its raw
   reservoir (``Telemetry.snapshot(include_samples=True)``, which the
@@ -21,14 +20,15 @@ merge rules per instrument kind:
   pessimistic bound (a merged p99 that looks fine guarantees every
   shard's p99 is fine).
 
-The merged snapshot exports in the same JSON shape as a single gateway's
+The merged snapshot exports in the same JSON shape as a single
 ``Telemetry.snapshot()`` plus a ``shards`` count, and to Prometheus text
-under the ``repro_fleet`` namespace.
+under the ``repro_fleet`` namespace through the same renderer as
+``Telemetry.to_prometheus``.
 """
 
 from __future__ import annotations
 
-from repro.gateway.telemetry import QUANTILES, _sanitize, escape_label_value
+from repro.gateway.telemetry import QUANTILES, render_prometheus
 
 __all__ = ["merge_snapshots", "merged_to_prometheus"]
 
@@ -95,27 +95,8 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
 
 
 def merged_to_prometheus(merged: dict, *, namespace: str = "repro_fleet") -> str:
-    """Prometheus text exposition of a merged snapshot (same conventions as
-    ``Telemetry.to_prometheus``: counters/gauges verbatim, histograms as
-    summaries with quantile labels — merged quantiles are upper bounds)."""
-    ns = _sanitize(namespace)
-    lines: list[str] = []
-    lines.append(f"# TYPE {ns}_shards gauge")
-    lines.append(f"{ns}_shards {merged.get('shards', 0):.10g}")
-    for name, value in merged.get("counters", {}).items():
-        metric = f"{ns}_{_sanitize(name)}"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {value:.10g}")
-    for name, value in merged.get("gauges", {}).items():
-        metric = f"{ns}_{_sanitize(name)}"
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {value:.10g}")
-    for name, hist in merged.get("histograms", {}).items():
-        metric = f"{ns}_{_sanitize(name)}"
-        lines.append(f"# TYPE {metric} summary")
-        for q, key in zip(QUANTILES, _QUANTILE_KEYS):
-            label = escape_label_value(f"{q:g}")
-            lines.append(f'{metric}{{quantile="{label}"}} {hist[key]:.10g}')
-        lines.append(f"{metric}_sum {hist['sum']:.10g}")
-        lines.append(f"{metric}_count {hist['count']}")
-    return "\n".join(lines) + "\n"
+    """Prometheus text exposition of a merged snapshot through the one
+    renderer (:func:`~repro.gateway.telemetry.render_prometheus`), with the
+    contributing shard count as the leading ``<namespace>_shards`` gauge."""
+    shards = {"gauges": {"shards": merged.get("shards", 0)}}
+    return render_prometheus(shards, namespace) + render_prometheus(merged, namespace)

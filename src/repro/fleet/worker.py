@@ -1,47 +1,49 @@
-"""The fleet worker process: one gateway + inference service per shard.
+"""The fleet worker process: one bare inference service per shard.
 
-Each worker is a forked child running this module's :func:`fleet_worker_main`
-loop.  It reuses the evaluation pool's bootstrap (:mod:`repro.evaluation.
-pool`) — BLAS threads pinned to one per process so N workers do not
-oversubscribe the machine N×BLAS ways, and a per-worker seed derived from
-``(base_seed, "fleet-worker-<id>")`` via SHA-256 so any worker-local
-randomness is reproducible regardless of fleet size — then loads the
-promoted checkpoint and serves a full single-process stack:
-``load_predictor → CostInferenceService → OptimizerGateway``.  The parent
-talks to it over one duplex ``multiprocessing`` connection with a small
-framed protocol:
+Each worker is a forked child running :func:`fleet_worker_main`: BLAS
+pinned to one thread, a seed derived from ``(base_seed, "fleet-<id>")``,
+the promoted checkpoint in a ``CostInferenceService``, and every frame
+answered on the receiving thread.  It has no queue, thread, breaker or
+fallback: the parent holds at most one frame in flight per pipe and
+applies admission, deadline, breaker and fallback itself
+(:mod:`repro.fleet.fleet`).  The framed protocol over the duplex pipe:
 
-``("predict", req_id, plans_key, plans, envs, deadline_ms, trace_wire)``
-    Score one candidate set under each environment of ``envs`` (batched
-    framing: a whole environment sweep rides one round trip).  ``plans``
-    may be ``None`` when ``plans_key`` was shipped before — the worker
-    keeps an LRU of recently seen candidate sets so steady-state traffic
-    never pickles plan trees across the pipe; an unknown key answers
-    ``("need-plans", req_id)`` and the client resends with plans attached.
-    ``trace_wire`` is the parent's serialized
-    :class:`~repro.obs.TraceContext` (or ``None``): the worker's gateway
-    spans join the parent's trace, and their finished records ride the
-    ``("ok", req_id, results, spans)`` reply back for cross-process
-    stitching.
+``("predict", req_id, plans_key, plans, envs, trace_wire)``
+    Score one candidate set under each environment of ``envs``: one
+    environment, or any ``None`` among them, goes to ``service.predict``
+    per environment; several vector environments go to one
+    ``service.predict_sweep``.  Replies ``("ok", req_id, costs,
+    weights_version, seconds, spans)`` — ``costs`` one float64 ``(n_envs,
+    n_plans)`` array, ``seconds`` the frame's compute time — or
+    ``("error", req_id, repr)`` if the service raised.  ``plans`` is
+    ``None`` when ``plans_key`` was shipped before (a 512-entry LRU keeps
+    plan trees off the pipe); an unknown key answers ``("need-plans",
+    req_id)`` and the parent resends with plans.  ``trace_wire`` is the
+    parent's :class:`~repro.obs.TraceContext` (or ``None``): a
+    ``fleet.worker`` span joins that trace, ``serving.encode``/
+    ``serving.forward`` nest under it, and the records ride the reply.
 ``("load", req_id, checkpoint_path, warm)``
     Staged promote: load the checkpoint, hot-swap it into the service
-    (``swap_predictor(..., warm=...)`` re-scoring the warm list so the
-    first post-promote requests hit a warm cache), ack the new
-    ``weights_version``.
+    (re-scoring the ``warm`` list), ack the new ``weights_version``.
 ``("stats", req_id)`` / ``("ping", req_id)`` / ``("close", req_id)``
-    Telemetry snapshot, liveness probe, graceful drain-and-exit.
+    Telemetry snapshot, liveness probe, exit.
 ``("crash", req_id)``
-    Chaos hook: die immediately (``os._exit``), as a real worker would on
-    a segfault or OOM kill — the parent's shed-and-remap path is the test
-    subject, so the death must skip Python cleanup.
+    Chaos hook: ``os._exit`` at once, as on a segfault or OOM kill — the
+    parent's shed-and-remap path is the test subject, so the death must
+    skip Python cleanup.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from collections import OrderedDict
 
+import numpy as np
+
 from repro.evaluation.pool import derive_seed, pin_blas_threads
+from repro.gateway.telemetry import Telemetry
+from repro.obs.trace import NULL_SPAN, TraceContext, Tracer, activate_span
 
 __all__ = ["fleet_worker_main"]
 
@@ -49,44 +51,11 @@ __all__ = ["fleet_worker_main"]
 _PLAN_CACHE_CAP = 512
 
 
-def _build_obs(obs_config, worker_id, base_seed):
-    """Per-worker tracer + recorder from the fleet's shared obs config.
-    The tracer's seed is derived per worker so seeded fleets mint
-    deterministic — and never colliding — span ids across shards."""
-    if obs_config is None:
-        return None, None, None
-    from repro.obs import FlightRecorder, SLOMonitor, Tracer
-
-    seed = (
-        derive_seed(obs_config.seed, f"trace-{worker_id}")
-        if obs_config.seed is not None
-        else None
-    )
-    tracer = Tracer(
-        obs_config.sample_rate, seed=seed, process_label=worker_id
-    )
-    recorder = FlightRecorder(
-        obs_config.recorder_capacity,
-        dump_dir=obs_config.dump_dir,
-        process_label=worker_id,
-    )
-    slo = SLOMonitor(obs_config.slo) if obs_config.slo is not None else None
-    return tracer, recorder, slo
-
-
-def _build_gateway(checkpoint_path, service_kwargs, gateway_config, obs=(None, None, None)):
-    from repro.gateway import OptimizerGateway
-    from repro.serving.service import CostInferenceService
-
-    service = None
-    if checkpoint_path is not None:
-        service = CostInferenceService.from_checkpoint(
-            checkpoint_path, **(service_kwargs or {})
-        )
-    tracer, recorder, slo = obs
-    return OptimizerGateway(
-        service, config=gateway_config, tracer=tracer, recorder=recorder, slo=slo
-    )
+def _score(service, plans, envs) -> np.ndarray:
+    if len(envs) > 1 and None not in envs:
+        return service.predict_sweep(plans, envs)
+    rows = [service.predict(plans, env_features=env) for env in envs]
+    return np.array(rows, dtype=np.float64).reshape(len(envs), len(plans))
 
 
 def fleet_worker_main(
@@ -95,18 +64,73 @@ def fleet_worker_main(
     worker_id: str,
     checkpoint_path=None,
     service_kwargs: dict | None = None,
-    gateway_config=None,
     base_seed: int = 0,
     obs_config=None,
 ) -> None:
     """Entry point of one forked fleet worker (blocks until ``close``)."""
+    from repro.core.serialization import load_predictor
+    from repro.serving.service import CostInferenceService
+
     pin_blas_threads()
     seed = derive_seed(base_seed, f"fleet-{worker_id}")
-    tracer, recorder, slo = _build_obs(obs_config, worker_id, base_seed)
-    gateway = _build_gateway(
-        checkpoint_path, service_kwargs, gateway_config, obs=(tracer, recorder, slo)
-    )
+    service_kwargs = service_kwargs or {}
+    service = None
+    if checkpoint_path is not None:
+        service = CostInferenceService.from_checkpoint(checkpoint_path, **service_kwargs)
+    tracer = None
+    if obs_config is not None:
+        # Derived per worker, so seeded fleets mint deterministic and never
+        # colliding span ids across shards.
+        trace_seed = (
+            derive_seed(obs_config.seed, f"trace-{worker_id}")
+            if obs_config.seed is not None
+            else None
+        )
+        tracer = Tracer(obs_config.sample_rate, seed=trace_seed, process_label=worker_id)
     plan_cache: "OrderedDict[object, list]" = OrderedDict()
+    telemetry = Telemetry()
+    requests_total = telemetry.counter("requests_total", "environments requested")
+    learned_total = telemetry.counter("learned_total", "environments answered")
+    plans_total = telemetry.counter("plans_total", "plans scored (x environments)")
+    batches_total = telemetry.counter("batches_total", "predict frames computed")
+    frame_latency = telemetry.histogram(
+        "request_latency_seconds", "worker-side frame time, receipt to reply"
+    )
+    compute_latency = telemetry.histogram(
+        "learned_batch_seconds", "service compute time per frame"
+    )
+
+    def answer(req_id, plans, envs, trace_wire, received) -> tuple:
+        requests_total.inc(len(envs))
+        span = NULL_SPAN
+        if trace_wire is not None and tracer is not None:
+            span = tracer.start_trace(
+                "fleet.worker",
+                parent=TraceContext.from_wire(trace_wire),
+                attrs={"n_plans": len(plans), "n_envs": len(envs)},
+            )
+        started = time.monotonic()
+        try:
+            if service is None:
+                raise RuntimeError("worker has no model loaded")
+            with activate_span(span):
+                costs = _score(service, plans, envs)
+        except Exception as exc:  # noqa: BLE001 — the parent answers it
+            span.set_attr("error", repr(exc))
+            reply = ("error", req_id, repr(exc))
+        else:
+            seconds = time.monotonic() - started
+            batches_total.inc()
+            learned_total.inc(len(envs))
+            plans_total.inc(len(plans) * len(envs))
+            compute_latency.observe(seconds)
+            reply = ("ok", req_id, costs, service.predictor.weights_version, seconds)
+        span.finish()
+        # Finished spans of this trace ride an ok reply back to the parent's
+        # collector; an error reply drops them.
+        spans = tracer.drain(trace_id=span.trace_id) if span.sampled else []
+        frame_latency.observe(time.monotonic() - received)
+        return reply + (spans,) if reply[0] == "ok" else reply
 
     try:
         while True:
@@ -114,10 +138,11 @@ def fleet_worker_main(
                 message = conn.recv()
             except EOFError:
                 break  # parent went away; nothing left to serve
+            received = time.monotonic()
             kind, req_id = message[0], message[1]
 
             if kind == "predict":
-                _, _, plans_key, plans, envs, deadline_ms, trace_wire = message
+                _, _, plans_key, plans, envs, trace_wire = message
                 if plans is None:
                     plans = plan_cache.get(plans_key)
                     if plans is None:
@@ -129,54 +154,31 @@ def fleet_worker_main(
                     plan_cache.move_to_end(plans_key)
                     while len(plan_cache) > _PLAN_CACHE_CAP:
                         plan_cache.popitem(last=False)
-                parent_ctx = None
-                if trace_wire is not None and tracer is not None:
-                    from repro.obs import TraceContext
-
-                    parent_ctx = TraceContext.from_wire(trace_wire)
-                results = []
-                for env in envs:
-                    r = gateway.predict(
-                        plans,
-                        env_features=env,
-                        deadline_ms=deadline_ms,
-                        trace=parent_ctx,
-                    )
-                    results.append((r.costs, r.source, r.reason, r.model_version))
-                # This worker's finished spans for the trace ride the reply
-                # back to the parent's collector (cross-process stitching).
-                spans = (
-                    tracer.drain(trace_id=parent_ctx.trace_id)
-                    if parent_ctx is not None
-                    else []
-                )
-                conn.send(("ok", req_id, results, spans))
+                conn.send(answer(req_id, plans, envs, trace_wire, received))
 
             elif kind == "load":
                 _, _, path, warm = message
-                from repro.core.serialization import load_predictor
-
                 predictor, _env = load_predictor(path)
-                if gateway.has_model:
-                    gateway.service.swap_predictor(predictor, warm=warm or None)
-                    gateway.notify_swap()
+                if service is not None:
+                    service.swap_predictor(predictor, warm=warm or None)
                 else:
-                    from repro.serving.service import CostInferenceService
-
-                    service = CostInferenceService(
-                        predictor, **(service_kwargs or {})
-                    )
-                    gateway.attach_service(service)
+                    service = CostInferenceService(predictor, **service_kwargs)
                     if warm:
                         service.warm_caches(warm)
-                conn.send(
-                    ("loaded", req_id, gateway.service.predictor.weights_version)
-                )
+                conn.send(("loaded", req_id, service.predictor.weights_version))
 
             elif kind == "stats":
+                if service is not None:
+                    telemetry.gauge("model_weights_version", "served weights_version").set(
+                        service.predictor.weights_version
+                    )
+                    for name, value in service.cache_counters().items():
+                        telemetry.gauge(f"serving_{name}", "inference-service counter").set(
+                            value
+                        )
                 # Raw histogram reservoirs ride along so the parent's merge
-                # can compute exact fleet-level quantiles, not a max bound.
-                conn.send(("stats", req_id, gateway.stats(include_samples=True)))
+                # computes exact fleet-level quantiles, not a max bound.
+                conn.send(("stats", req_id, telemetry.snapshot(include_samples=True)))
 
             elif kind == "ping":
                 conn.send(("pong", req_id, worker_id, seed))
@@ -191,5 +193,4 @@ def fleet_worker_main(
             else:
                 conn.send(("error", req_id, f"unknown message kind {kind!r}"))
     finally:
-        gateway.close()
         conn.close()

@@ -337,7 +337,7 @@ class OptimizerGateway:
         """Score ``plans`` within the deadline budget.  Always returns a
         cost per plan; ``result.source`` says whether the learned model or
         the native fallback produced it.  ``trace`` carries an upstream
-        :class:`~repro.obs.TraceContext` (e.g. from the fleet parent) so the
+        :class:`~repro.obs.TraceContext` (e.g. a scenario replay's) so the
         request span joins the caller's trace instead of starting one."""
         started = time.monotonic()
         self._requests_total.inc()
@@ -766,9 +766,8 @@ class OptimizerGateway:
         if batch_span.sampled:
             if error is not None:
                 batch_span.set_attr("error", repr(error))
-            # Finish before any caller's event fires: when a fleet worker
-            # drains spans for a trace right after predict() returns, the
-            # batch (and nested serving) spans are already buffered.
+            # Finish before any caller's event fires, so the batch (and
+            # nested serving) spans are buffered once predict() returns.
             batch_span.finish()
         self._batches_total.inc()
         self._batch_seconds.observe(elapsed)
@@ -853,12 +852,10 @@ class OptimizerGateway:
                     "quantization gate state)",
                 ).set(value)
 
-    def stats(self, *, include_samples: bool = False) -> dict:
-        """JSON-able operational snapshot: telemetry, breaker, pacer, queue.
-        ``include_samples`` attaches raw histogram reservoirs so fleet-level
-        merges can compute exact quantiles."""
+    def stats(self) -> dict:
+        """JSON-able operational snapshot: telemetry, breaker, pacer, queue."""
         self._sync_gauges()
-        snapshot = self.telemetry.snapshot(include_samples=include_samples)
+        snapshot = self.telemetry.snapshot()
         with self._lock:
             depth = len(self._queue)
         snapshot["breaker"] = self.breaker.stats()

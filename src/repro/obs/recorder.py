@@ -1,7 +1,7 @@
 """Flight recorder: a per-process ring buffer that dumps on incidents.
 
-Every process that serves traffic (the gateway's host process, each fleet
-worker) keeps a bounded ring of recent structured events and span records.
+Every process that applies guardrails (the gateway's host process, the
+fleet parent) keeps a bounded ring of recent events and span records.
 When something goes wrong — a circuit-breaker trip, a worker crash, a shed
 storm — the ring is snapshotted to a JSONL file so the seconds *before*
 the incident can be reconstructed after the fact, exactly the post-hoc

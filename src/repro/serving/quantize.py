@@ -10,11 +10,11 @@ forward is compared against the float32 reference on a deterministic
 calibration batch, and a failing gate falls back bitwise to the reference
 weights (see ``_WeightSnapshot`` in :mod:`repro.serving.service`).
 
-The one storage mode, ``"float16"``, is plain half-precision rounding
-(~5e-4 relative weight error, no scales needed).  It keeps a float32
-*compute copy* (numpy's half GEMMs are slower than sgemm, so the win is
-storage/traffic plus the packing layout, not the arithmetic dtype),
-dequantized once per ``weights_version``.
+The storage is plain float16 rounding (~5e-4 relative weight error, no
+scales needed).  It keeps a float32 *compute copy* (numpy's half GEMMs
+are slower than sgemm, so the win is storage/traffic plus the packing
+layout, not the arithmetic dtype), dequantized once per
+``weights_version``.
 """
 
 from __future__ import annotations
@@ -24,13 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "QUANTIZE_MODES",
     "QuantizedMatrix",
     "quantize_matrix",
     "split_conv_weight",
 ]
-
-QUANTIZE_MODES = ("float16",)
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,6 @@ class QuantizedMatrix:
     is no hidden full-precision path.
     """
 
-    mode: str
     stored: np.ndarray
     compute: np.ndarray
 
@@ -62,23 +58,19 @@ class QuantizedMatrix:
         return float(np.max(np.abs(self.compute.astype(np.float64) - reference))) / denom
 
 
-def quantize_matrix(
-    weight: np.ndarray, mode: str = "float16", *, compute_dtype=np.float32
-) -> QuantizedMatrix:
-    """Quantize one ``(d_in, d_out)`` weight matrix.
+def quantize_matrix(weight: np.ndarray, *, compute_dtype=np.float32) -> QuantizedMatrix:
+    """Quantize one ``(d_in, d_out)`` weight matrix to float16 storage.
 
     Non-finite weights are quantized as-is (float16 keeps inf/nan) — the
     downstream rtol gate is what rejects them.
     """
-    if mode not in QUANTIZE_MODES:
-        raise ValueError(f"unknown quantize mode {mode!r}; expected one of {QUANTIZE_MODES}")
     weight = np.asarray(weight, dtype=np.float64)
     # Out-of-range weights overflow to inf here by design; the gate's
     # isfinite check is the rejection path, so the cast warning is noise.
     with np.errstate(over="ignore"):
         stored = weight.astype(np.float16)
     compute = np.ascontiguousarray(stored, dtype=compute_dtype)
-    return QuantizedMatrix(mode=mode, stored=stored, compute=compute)
+    return QuantizedMatrix(stored=stored, compute=compute)
 
 
 def split_conv_weight(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

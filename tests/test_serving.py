@@ -441,7 +441,7 @@ class TestQuantizedForward:
     def test_float16_gate_passes_and_matches_reference(self, trained):
         predictor, plans = trained
         reference = CostInferenceService(predictor)
-        service = CostInferenceService(predictor, quantize="float16")
+        service = CostInferenceService(predictor, quantize=True)
         want = reference.predict(plans[:20], env_features=COLD_ENV)
         got = service.predict(plans[:20], env_features=COLD_ENV)
         stats = service.stats()
@@ -451,14 +451,17 @@ class TestQuantizedForward:
 
     def test_quantize_true_selects_float16(self, trained):
         predictor, _ = trained
-        assert CostInferenceService(predictor, quantize=True).quantize_mode == "float16"
-        assert CostInferenceService(predictor, quantize=False).quantize_mode is None
+        assert CostInferenceService(predictor, quantize=True).quantize is True
+        assert CostInferenceService(predictor).quantize is False
+        for mode in ("float16", "int8", None, 1):
+            with pytest.raises(ValueError, match="quantize must be a bool"):
+                CostInferenceService(predictor, quantize=mode)
 
     def test_strict_gate_falls_back_bitwise(self, trained):
         predictor, plans = trained
         # A gate no quantization can pass: the service must serve the
         # float32 reference weights, bitwise equal to an unquantized service.
-        strict = CostInferenceService(predictor, quantize="float16", quantize_rtol=1e-12)
+        strict = CostInferenceService(predictor, quantize=True, quantize_rtol=1e-12)
         reference = CostInferenceService(predictor)
         got = strict.predict(plans[:20], env_features=COLD_ENV)
         want = reference.predict(plans[:20], env_features=COLD_ENV)
@@ -473,7 +476,7 @@ class TestQuantizedForward:
         # An outlier beyond float16 range becomes inf in quantized storage;
         # the calibration forward goes non-finite and the gate must reject.
         corrupted.module.plan_emb.conv_layers[0].weight.data[0, 0] = 1e9
-        quantized = CostInferenceService(corrupted, quantize="float16")
+        quantized = CostInferenceService(corrupted, quantize=True)
         plain = CostInferenceService(corrupted)
         got = quantized.predict(plans[:12], env_features=COLD_ENV)
         want = plain.predict(plans[:12], env_features=COLD_ENV)
@@ -487,12 +490,10 @@ class TestQuantizedForward:
         rng = np.random.default_rng(7)
         weight = rng.normal(scale=0.3, size=(24, 6))
         weight[:, 2] *= 50.0
-        half = quantize_matrix(weight, "float16")
+        half = quantize_matrix(weight)
         assert half.stored.dtype == np.float16
         assert half.max_weight_rel_err(weight) < 1e-3
         assert half.stored_nbytes < weight.nbytes
-        with pytest.raises(ValueError, match="unknown quantize mode"):
-            quantize_matrix(weight, "int8")
         w_self, w_left, w_right = split_conv_weight(weight)
         np.testing.assert_array_equal(np.vstack((w_self, w_left, w_right)), weight)
         with pytest.raises(ValueError, match="divisible by 3"):
@@ -542,7 +543,7 @@ class TestWarming:
 class TestColdPathStats:
     def test_timing_attribution_accumulates(self, trained):
         predictor, plans = trained
-        service = CostInferenceService(predictor, quantize="float16")
+        service = CostInferenceService(predictor, quantize=True)
         service.predict(plans[:10], env_features=COLD_ENV)
         stats = service.stats()
         assert stats.encode_seconds > 0.0
@@ -638,7 +639,7 @@ class TestPredictSweep:
 
     def test_quantized_sweep_within_gate_tolerance(self, trained):
         predictor, plans = trained
-        quantized = CostInferenceService(predictor, quantize="float16")
+        quantized = CostInferenceService(predictor, quantize=True)
         reference = CostInferenceService(predictor)
         swept = quantized.predict_sweep(plans[:4], SWEEP_ENVS)
         assert quantized.stats().quantized_active
